@@ -1,7 +1,8 @@
 //! Figure 6: scalability across sockets. The paper interleaves memory across
 //! 1–4 NUMA sockets; this host-independent reproduction continues the thread
-//! sweep past one socket's worth of cores (see DESIGN.md substitutions) —
-//! the qualitative signal is each index's trend as parallelism keeps growing.
+//! sweep past one socket's worth of cores over the concurrent stand-ins
+//! described in `gre_core::partitioned` — the qualitative signal is each
+//! index's trend as parallelism keeps growing.
 use gre_bench::{registry::concurrent_indexes, RunOpts};
 use gre_datasets::Dataset;
 use gre_workloads::{run_concurrent, WorkloadBuilder, WriteRatio};

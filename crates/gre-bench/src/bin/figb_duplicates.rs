@@ -8,7 +8,7 @@
 use gre_bench::RunOpts;
 use gre_core::ConcurrentIndex;
 use gre_datasets::Dataset;
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -22,7 +22,7 @@ fn main() {
     );
 
     // Inline: composite key = (key << 8) | occurrence (wiki timestamps fit).
-    let mut inline: AlexPlus<u64> = AlexPlus::new();
+    let mut inline = alex_plus::<u64>();
     ConcurrentIndex::bulk_load(&mut inline, &[]);
     let start = Instant::now();
     let mut occurrence: HashMap<u64, u8> = HashMap::new();
@@ -42,7 +42,7 @@ fn main() {
     let inline_lookup = start.elapsed();
 
     // Linked list: one entry per distinct key + overflow chains.
-    let mut ll: AlexPlus<u64> = AlexPlus::new();
+    let mut ll = alex_plus::<u64>();
     ConcurrentIndex::bulk_load(&mut ll, &[]);
     let overflow: Mutex<HashMap<u64, Vec<u64>>> = Mutex::new(HashMap::new());
     let start = Instant::now();

@@ -28,7 +28,7 @@ use gre_bench::RunOpts;
 use gre_core::{ConcurrentIndex, IndexMeta, InsertStats, Payload, RangeSpec, StatsSnapshot};
 use gre_datasets::Dataset;
 use gre_durability::util::TempDir;
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_replica::ReplicatedTarget;
 use gre_shard::{Partitioner, ShardedIndex};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -59,7 +59,7 @@ struct Throttled {
 impl Throttled {
     fn new(floor: Duration) -> Throttled {
         Throttled {
-            inner: Box::new(AlexPlus::<u64>::new()),
+            inner: Box::new(alex_plus::<u64>()),
             floor,
         }
     }

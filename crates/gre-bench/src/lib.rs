@@ -2,8 +2,9 @@
 //!
 //! The GRE benchmark harness: index registries, the heatmap machinery of
 //! Figures 2/4/7/14/16, and shared helpers used by the per-figure binaries
-//! in `src/bin/` (one binary per table/figure of the paper; see DESIGN.md §5
-//! and EXPERIMENTS.md for the mapping).
+//! in `src/bin/` (one binary per table/figure of the paper, named after it;
+//! the README's "Reproducing the paper's figures" section lists their
+//! shared flags).
 
 pub mod heatmap;
 pub mod perfjson;

@@ -17,9 +17,7 @@
 //!   instances of whole index families for figure sweeps.
 
 use gre_core::{ConcurrentIndex, Index};
-use gre_learned::{
-    Alex, AlexConfig, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, LockGranularity, XIndex,
-};
+use gre_learned::{alex_plus, lipp_plus, Alex, DynamicPgm, Finedex, Lipp, XIndex};
 use gre_shard::{Partitioner, Scheme, ShardedIndex};
 use gre_traditional::{
     art_olc, btree_olc, hot_rowex, masstree_concurrent, wormhole_concurrent, Art, BPlusTree, Hot,
@@ -171,15 +169,8 @@ impl IndexBuilder {
             .collect::<String>()
             .to_ascii_lowercase();
         let (canonical, kind, ctor): (&'static str, IndexKind, BackendCtor) = match canon.as_str() {
-            "alex+" | "alexplus" => ("ALEX+", IndexKind::Learned, || {
-                Box::new(AlexPlus::<u64>::with_config(
-                    AlexConfig::default(),
-                    LockGranularity::PerNode,
-                ))
-            }),
-            "lipp+" | "lippplus" => ("LIPP+", IndexKind::Learned, || {
-                Box::new(LippPlus::<u64>::new())
-            }),
+            "alex+" | "alexplus" => ("ALEX+", IndexKind::Learned, || Box::new(alex_plus::<u64>())),
+            "lipp+" | "lippplus" => ("LIPP+", IndexKind::Learned, || Box::new(lipp_plus::<u64>())),
             "xindex" => ("XIndex", IndexKind::Learned, || {
                 Box::new(XIndex::<u64>::new())
             }),

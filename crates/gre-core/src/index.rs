@@ -80,6 +80,14 @@ pub trait Index<K: Key>: Send {
     /// configured to store duplicates, any one matching payload is returned.
     fn get(&self, key: K) -> Option<Payload>;
 
+    /// Batched point lookup with the contract of
+    /// [`ConcurrentIndex::get_batch`]: `out` is cleared, then holds
+    /// `get(keys[i])` at position `i`. The default is the scalar loop.
+    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        out.clear();
+        out.extend(keys.iter().map(|&k| self.get(k)));
+    }
+
     /// Insert a key/payload pair. Returns `true` if the key was newly
     /// inserted, `false` if an existing key's payload was updated in place
     /// (or, for duplicate-supporting configurations, appended).
@@ -149,7 +157,9 @@ pub trait ConcurrentIndex<K: Key>: Send + Sync {
     /// with a predictable search path override this with an interleaved,
     /// software-pipelined version (issue model predictions for the whole
     /// group, prefetch the predicted positions, then finish the bounded
-    /// local searches) — see ALEX+ in `gre-learned`.
+    /// local searches) — see `Alex` in `gre-learned`, whose
+    /// [`Index::get_batch`] ALEX+ reaches through
+    /// [`Partitioned`](crate::Partitioned).
     ///
     /// # Contract
     ///
@@ -291,6 +301,9 @@ impl<K: Key, T: Index<K> + ?Sized> Index<K> for Box<T> {
     fn get(&self, key: K) -> Option<Payload> {
         (**self).get(key)
     }
+    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        (**self).get_batch(keys, out);
+    }
     fn insert(&mut self, key: K, value: Payload) -> bool {
         (**self).insert(key, value)
     }
@@ -407,11 +420,9 @@ impl<K: Key, I: Index<K>> ConcurrentIndex<K> for MutexIndex<I> {
         self.inner.lock().get(key)
     }
 
+    /// One lock() for the whole batch instead of one per key.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        // One lock() for the whole batch instead of one per key.
-        let inner = self.inner.lock();
-        out.clear();
-        out.extend(keys.iter().map(|&k| inner.get(k)));
+        self.inner.lock().get_batch(keys, out);
     }
 
     fn insert(&self, key: K, value: Payload) -> bool {

@@ -19,8 +19,9 @@
 //! * [`latency`] — kind-indexed log-linear latency histograms
 //!   ([`latency::LatencyHistogram`], [`latency::KindLatency`]) used by the
 //!   scenario driver for coordinated-omission-safe tail reporting.
-//! * [`sync`] — the optimistic versioned lock (OLC word) used by the
-//!   concurrent index variants (ALEX+, LIPP+, ART-OLC, B+TreeOLC).
+//! * [`partitioned`] — [`partitioned::Partitioned`], the range-partitioned
+//!   lock adapter every concurrent ALEX+/LIPP+/OLC/ROWEX stand-in is built
+//!   from, and the batch regroup it shares with the serving layer.
 //! * [`wire`] — the stable byte encoding of [`ops::Request`] used by the
 //!   `gre-durability` write-ahead log.
 //! * [`elastic`] — the shared vocabulary of the online elasticity protocol
@@ -39,9 +40,9 @@ pub mod index;
 pub mod key;
 pub mod latency;
 pub mod ops;
+pub mod partitioned;
 pub mod replica;
 pub mod stats;
-pub mod sync;
 pub mod wire;
 
 pub use elastic::{BoundaryChange, ElasticError, TopologyKind};
@@ -50,6 +51,6 @@ pub use index::{ConcurrentIndex, Index, IndexMeta, RangeSpec};
 pub use key::{Entry, Key, Payload};
 pub use latency::{KindLatency, LatencyHistogram};
 pub use ops::{IndexError, Request, RequestKind, Response};
+pub use partitioned::{get_batch_grouped, Partitioned, DEFAULT_PARTITIONS};
 pub use replica::{ReadPolicy, Watermark};
 pub use stats::{InsertBreakdown, InsertStats, OpCounters, StatsSnapshot};
-pub use sync::{OptLock, OptLockWriteGuard};

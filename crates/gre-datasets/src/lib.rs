@@ -9,8 +9,8 @@
 //! reproduces the published CDF characteristics that matter to the paper's
 //! analysis (local and global PLA hardness, duplicate structure, outliers)
 //! so the relative hardness ordering of the datasets — and therefore which
-//! index wins where — is preserved. See DESIGN.md §4 for the substitution
-//! rationale.
+//! index wins where — is preserved. [`shapes`] documents the CDF primitives
+//! and [`registry`] how each dataset combines them.
 //!
 //! ```
 //! use gre_datasets::Dataset;

@@ -469,42 +469,6 @@ impl<K: Key> Alex<K> {
         (idx, traversed.max(1))
     }
 
-    /// Batched point lookups, software-pipelined [`BATCH_WIDTH`] keys at a
-    /// time: stage 1 routes every key of the group through the inner model,
-    /// computes its data-node slot prediction, and issues a prefetch for the
-    /// predicted position; stage 2 finishes the bounded "last-mile" searches
-    /// against (now likely cache-resident) lines. Appends one `Option` per
-    /// key to `out` in input order — semantically identical to a scalar
-    /// `get` per key, only faster, because the `BATCH_WIDTH` independent
-    /// memory accesses overlap instead of serializing on DRAM latency.
-    pub fn get_batch_into(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        out.reserve(keys.len());
-        let mut staged = [(0usize, 0usize); BATCH_WIDTH];
-        for group in keys.chunks(BATCH_WIDTH) {
-            // Stage 1: route + predict + prefetch for the whole group.
-            for (j, &key) in group.iter().enumerate() {
-                let (idx, _) = self.locate(key);
-                let node = &self.nodes[idx];
-                let cap = node.capacity();
-                let pred = if cap == 0 {
-                    0
-                } else {
-                    node.model.predict_clamped(key, cap)
-                };
-                staged[j] = (idx, pred);
-                if cap != 0 {
-                    prefetch_read(node.keys.as_ptr().wrapping_add(pred));
-                    prefetch_read(node.occupied.as_ptr().wrapping_add(pred));
-                }
-            }
-            // Stage 2: bounded local searches on the prefetched positions.
-            for (j, &key) in group.iter().enumerate() {
-                let (idx, pred) = staged[j];
-                out.push(self.nodes[idx].probe(key, pred));
-            }
-        }
-    }
-
     /// Rebuild or split node `idx` after its insert failed or its density
     /// exceeded the budget. The cost-model decision is the paper's: expand
     /// and retrain while the node is under the size budget, split otherwise.
@@ -563,6 +527,43 @@ impl<K: Key> Index<K> for Alex<K> {
             return None;
         }
         node.probe(key, node.model.predict_clamped(key, cap))
+    }
+
+    /// Batched point lookups, software-pipelined [`BATCH_WIDTH`] keys at a
+    /// time: stage 1 routes every key of the group through the inner model,
+    /// computes its data-node slot prediction, and issues a prefetch for the
+    /// predicted position; stage 2 finishes the bounded "last-mile" searches
+    /// against (now likely cache-resident) lines. Fills `out` with one
+    /// `Option` per key in input order — semantically identical to a scalar
+    /// `get` per key, only faster, because the `BATCH_WIDTH` independent
+    /// memory accesses overlap instead of serializing on DRAM latency.
+    fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
+        out.clear();
+        out.reserve(keys.len());
+        let mut staged = [(0usize, 0usize); BATCH_WIDTH];
+        for group in keys.chunks(BATCH_WIDTH) {
+            // Stage 1: route + predict + prefetch for the whole group.
+            for (j, &key) in group.iter().enumerate() {
+                let (idx, _) = self.locate(key);
+                let node = &self.nodes[idx];
+                let cap = node.capacity();
+                let pred = if cap == 0 {
+                    0
+                } else {
+                    node.model.predict_clamped(key, cap)
+                };
+                staged[j] = (idx, pred);
+                if cap != 0 {
+                    prefetch_read(node.keys.as_ptr().wrapping_add(pred));
+                    prefetch_read(node.occupied.as_ptr().wrapping_add(pred));
+                }
+            }
+            // Stage 2: bounded local searches on the prefetched positions.
+            for (j, &key) in group.iter().enumerate() {
+                let (idx, pred) = staged[j];
+                out.push(self.nodes[idx].probe(key, pred));
+            }
+        }
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
@@ -832,7 +833,7 @@ mod tests {
             .collect();
         keys.push(keys[0]);
         let mut batched = Vec::new();
-        alex.get_batch_into(&keys, &mut batched);
+        alex.get_batch(&keys, &mut batched);
         let scalar: Vec<_> = keys.iter().map(|&k| alex.get(k)).collect();
         assert_eq!(batched, scalar);
         assert!(batched.iter().any(|r| r.is_some()));
@@ -841,10 +842,9 @@ mod tests {
         // Empty index and empty batch are both fine.
         let empty: Alex<u64> = Alex::new();
         let mut out = Vec::new();
-        empty.get_batch_into(&[1, 2, 3], &mut out);
+        empty.get_batch(&[1, 2, 3], &mut out);
         assert_eq!(out, vec![None, None, None]);
-        out.clear();
-        empty.get_batch_into(&[], &mut out);
+        empty.get_batch(&[], &mut out);
         assert!(out.is_empty());
     }
 

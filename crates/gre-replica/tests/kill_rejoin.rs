@@ -6,7 +6,7 @@
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_durability::util::TempDir;
 use gre_durability::{FailAction, FailpointRegistry, Trigger};
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_replica::{apply_failpoint, ReplicatedTarget};
 use gre_shard::{Partitioner, ShardedIndex};
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -18,7 +18,7 @@ type DynBackend = Box<dyn ConcurrentIndex<u64>>;
 
 fn sharded() -> ShardedIndex<u64, DynBackend> {
     ShardedIndex::from_factory(Partitioner::range(4), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
 }
 
@@ -52,7 +52,7 @@ fn crashed_replica_rejoins_from_its_watermark_without_loss_or_duplication() {
 
     let tmp = TempDir::new("kill-rejoin");
     let mut target = ReplicatedTarget::new(sharded(), 2, 128, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
     .with_replicas(2)
     .with_failpoints(Arc::clone(&failpoints));
@@ -117,7 +117,7 @@ fn graceful_kill_freezes_and_rejoin_catches_up() {
     // cooperatively; writes keep committing; re-join replays the gap.
     let tmp = TempDir::new("kill-graceful");
     let mut target = ReplicatedTarget::new(sharded(), 2, 128, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
     .with_replicas(1);
 

@@ -6,7 +6,7 @@
 
 use gre_core::{ConcurrentIndex, ReadPolicy};
 use gre_durability::util::TempDir;
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_replica::ReplicatedTarget;
 use gre_shard::{Partitioner, ShardedIndex};
 use gre_workloads::driver::{PhaseRecorder, ServeTarget};
@@ -17,13 +17,13 @@ type DynBackend = Box<dyn ConcurrentIndex<u64>>;
 
 fn sharded() -> ShardedIndex<u64, DynBackend> {
     ShardedIndex::from_factory(Partitioner::range(4), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
 }
 
 fn target(policy: ReadPolicy, tmp: &TempDir) -> ReplicatedTarget<DynBackend> {
     ReplicatedTarget::new(sharded(), 2, 8, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
     .with_replicas(1)
     .read_policy(policy)

@@ -5,7 +5,7 @@
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec, ReadPolicy};
 use gre_durability::util::TempDir;
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_replica::ReplicatedTarget;
 use gre_shard::{Partitioner, ShardedIndex};
 use gre_traditional::btree_olc;
@@ -17,7 +17,7 @@ type BackendFactory = fn() -> DynBackend;
 
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }

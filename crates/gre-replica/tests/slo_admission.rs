@@ -6,7 +6,7 @@
 
 use gre_core::ConcurrentIndex;
 use gre_durability::util::TempDir;
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_replica::{ReplicatedTarget, SloTarget};
 use gre_shard::{Partitioner, ShardedIndex};
 use gre_telemetry::CounterId;
@@ -18,7 +18,7 @@ type DynBackend = Box<dyn ConcurrentIndex<u64>>;
 
 fn sharded() -> ShardedIndex<u64, DynBackend> {
     ShardedIndex::from_factory(Partitioner::range(4), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
 }
 
@@ -38,7 +38,7 @@ fn read_only() -> Scenario {
 fn slo_target(replicas: usize) -> (TempDir, ReplicatedTarget<DynBackend>) {
     let tmp = TempDir::new("slo-admission");
     let target = ReplicatedTarget::new(sharded(), 2, 64, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
     .with_replicas(replicas)
     .with_slo(SloTarget::p99(1_000_000).with_interval(Duration::from_secs(3600)))
@@ -103,7 +103,7 @@ fn fully_breached_replica_set_sheds_reads() {
 fn no_slo_means_no_admission_control() {
     let tmp = TempDir::new("slo-off");
     let mut target = ReplicatedTarget::new(sharded(), 2, 64, tmp.path(), |_| {
-        Box::new(AlexPlus::<u64>::new()) as DynBackend
+        Box::new(alex_plus::<u64>()) as DynBackend
     })
     .with_replicas(2);
     let result = Driver::new().run(&read_only(), &mut target);

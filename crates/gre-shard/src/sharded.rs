@@ -9,11 +9,13 @@
 //! the examples) unchanged — sharding composes with, rather than replaces,
 //! the backends.
 //!
-//! This is a different layer from `gre-traditional`'s internal `Sharded`
-//! emulation wrapper: that one builds a *concurrent index out of
-//! single-threaded parts* to model OLC behaviour; this one builds a *serving
-//! layer out of already-concurrent backends* (learned or traditional), with
-//! pluggable partitioning and merged reporting.
+//! This is a different layer from [`gre_core::Partitioned`], the lock
+//! adapter inside ALEX+, LIPP+ and the OLC/ROWEX stand-ins: that one builds
+//! a *concurrent index out of single-threaded parts* with boundaries fixed
+//! at bulk load; this one builds a *serving layer out of already-concurrent
+//! backends* (learned or traditional), with pluggable partitioning, elastic
+//! boundaries and merged reporting. Both regroup batched lookups with
+//! [`gre_core::get_batch_grouped`].
 
 use crate::partition::Partitioner;
 use gre_core::elastic::ElasticError;
@@ -384,19 +386,11 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
     /// `get_batch`, so a backend's interleaved override (e.g. ALEX+) is
     /// reached even through the composite. Results land in input order.
     ///
-    /// Regrouping is a two-pass counting sort — route every key once
-    /// (memoized), prefix-sum the per-shard counts, scatter into one
-    /// contiguous scratch buffer — so the cost is O(keys + shards) with a
-    /// fixed handful of allocations, instead of the per-key group search
-    /// and per-shard buffers a naive regroup pays. Single-shard batches
-    /// (every key routed the same way) skip the scatter entirely and
-    /// forward `keys` as-is.
+    /// Regrouping is [`gre_core::get_batch_grouped`]'s counting sort, so
+    /// the cost is O(keys + shards) with a fixed handful of allocations.
+    /// Single-shard batches (every key routed the same way) skip the
+    /// scatter entirely and forward `keys` as-is.
     fn get_batch(&self, keys: &[K], out: &mut Vec<Option<Payload>>) {
-        out.clear();
-        out.resize(keys.len(), None);
-        if keys.is_empty() {
-            return;
-        }
         let shards = self.backends.len();
         if shards == 1 {
             self.backends[0].get_batch(keys, out);
@@ -413,46 +407,13 @@ impl<K: Key, B: ConcurrentIndex<K>> ConcurrentIndex<K> for ShardedIndex<K, B> {
             self.wait_routing_change();
         };
         let partitioner = &guard.partitioner;
-        // Pass 1: route each key once, counting per-shard group sizes.
-        let mut routed: Vec<u32> = Vec::with_capacity(keys.len());
-        let mut counts: Vec<usize> = vec![0; shards];
-        for &key in keys {
-            let s = partitioner.shard_of(key);
-            routed.push(s as u32);
-            counts[s] += 1;
-        }
-        if counts[routed[0] as usize] == keys.len() {
-            // Every key landed on one shard: no regrouping needed.
-            self.backends[routed[0] as usize].get_batch(keys, out);
-            return;
-        }
-        // Pass 2: prefix-sum offsets, then scatter keys (and their input
-        // positions) into per-shard contiguous runs of one scratch buffer.
-        let mut starts = vec![0usize; shards + 1];
-        for s in 0..shards {
-            starts[s + 1] = starts[s] + counts[s];
-        }
-        let mut grouped: Vec<(K, usize)> = vec![(keys[0], 0); keys.len()];
-        let mut cursors = starts.clone();
-        for (i, &key) in keys.iter().enumerate() {
-            let s = routed[i] as usize;
-            grouped[cursors[s]] = (key, i);
-            cursors[s] += 1;
-        }
-        let mut group_keys: Vec<K> = Vec::with_capacity(keys.len());
-        let mut group_results: Vec<Option<Payload>> = Vec::new();
-        for s in 0..shards {
-            let run = &grouped[starts[s]..starts[s + 1]];
-            if run.is_empty() {
-                continue;
-            }
-            group_keys.clear();
-            group_keys.extend(run.iter().map(|&(k, _)| k));
-            self.backends[s].get_batch(&group_keys, &mut group_results);
-            for (&(_, i), result) in run.iter().zip(group_results.drain(..)) {
-                out[i] = result;
-            }
-        }
+        gre_core::get_batch_grouped(
+            keys,
+            shards,
+            |key| partitioner.shard_of(key),
+            out,
+            |s, run, results| self.backends[s].get_batch(run, results),
+        );
     }
 
     fn insert(&self, key: K, value: Payload) -> bool {

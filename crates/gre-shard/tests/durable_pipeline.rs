@@ -11,7 +11,7 @@
 use gre_core::{ConcurrentIndex, Payload, Response};
 use gre_durability::util::TempDir;
 use gre_durability::{DurableLog, FailAction, FailpointRegistry, Recovery, SyncPolicy, Trigger};
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_shard::{OpBatch, Partitioner, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::Op;
@@ -25,7 +25,7 @@ type BackendFactory = fn() -> DynBackend;
 
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }

@@ -7,7 +7,7 @@
 //! reproduce deterministically.
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_shard::{OpBatch, Partitioner, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::Op;
@@ -23,7 +23,7 @@ type BackendFactory = fn() -> DynBackend;
 /// Backends under test: one learned, one traditional (the acceptance bar).
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }
@@ -169,7 +169,7 @@ fn pipeline_hammer_loses_no_updates() {
 /// consistent with the sum of the parts while shards take writes.
 #[test]
 fn merged_reporting_stays_consistent_under_writes() {
-    let mut idx = build(Partitioner::range(4), || Box::new(AlexPlus::<u64>::new()));
+    let mut idx = build(Partitioner::range(4), || Box::new(alex_plus::<u64>()));
     let bulk: Vec<(u64, Payload)> = (0..2_000u64).map(|i| (i * 5, i)).collect();
     idx.bulk_load(&bulk);
     for i in 0..500u64 {

@@ -12,7 +12,7 @@
 //! bug, not scheduling noise.
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_shard::{Partitioner, PipelineTarget, SessionTarget, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::scenario::{phase_stream, KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -26,7 +26,7 @@ type BackendFactory = fn() -> DynBackend;
 
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }

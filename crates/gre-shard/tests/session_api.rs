@@ -5,7 +5,7 @@
 //! reproduce deterministically.
 
 use gre_core::{ConcurrentIndex, IndexError, Payload, RangeSpec, Response};
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_shard::{OpBatch, Partitioner, Session, SessionTarget, ShardPipeline, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::scenario::{KeyDist, Mix, Pacing, Phase, Scenario, Span};
@@ -24,7 +24,7 @@ type BackendFactory = fn() -> DynBackend;
 /// Backends under test: one learned, one traditional (the acceptance bar).
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }

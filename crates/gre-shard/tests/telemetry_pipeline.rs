@@ -4,7 +4,7 @@
 //! — for every backend and both serving paths.
 
 use gre_core::ConcurrentIndex;
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_shard::{reconcile_tally, Partitioner, PipelineTarget, SessionTarget, ShardedIndex};
 use gre_telemetry::{CounterId, GaugeId, GlobalHistId, ShardHistId};
 use gre_traditional::btree_olc;
@@ -17,7 +17,7 @@ type BackendFactory = fn() -> DynBackend;
 
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }

@@ -2,13 +2,13 @@
 //!
 //! The original HOT (Binna et al., SIGMOD'18) combines multiple radix levels
 //! into compound nodes selected by discriminative bits and navigated with
-//! SIMD masks. We implement the simplification described in DESIGN.md §4: a
-//! nibble-span (4-bit) trie with path compression and *compact* child
-//! storage (children are kept in a sorted, exactly-sized vector rather than a
-//! fixed 16-slot array). This preserves the two properties the paper relies
-//! on — a very small memory footprint (Figure 8 shows HOT as the most
-//! space-efficient index) and robust lookup performance — while omitting the
-//! SIMD machinery.
+//! SIMD masks. We implement a simplification: a nibble-span (4-bit) trie
+//! with path compression and *compact* child storage (children are kept in a
+//! sorted, exactly-sized vector rather than a fixed 16-slot array). This
+//! preserves the two properties the paper relies on — a very small memory
+//! footprint (Figure 8 shows HOT as the most space-efficient index) and
+//! robust lookup performance — while omitting the SIMD machinery. The
+//! HOT-ROWEX stand-in is described in `gre_core::partitioned`.
 
 use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
 
@@ -246,8 +246,10 @@ impl<K: Key> Hot<K> {
         }
     }
 
-    fn collect_from(node: &Node<K>, start: K, count: usize, out: &mut Vec<(K, Payload)>) {
-        if out.len() >= count {
+    /// Appends entries with keys `>= start` in order until `out` holds
+    /// `target` entries.
+    fn collect_from(node: &Node<K>, start: K, target: usize, out: &mut Vec<(K, Payload)>) {
+        if out.len() >= target {
             return;
         }
         match node {
@@ -258,10 +260,10 @@ impl<K: Key> Hot<K> {
             }
             Node::Inner { children, .. } => {
                 for (_, child) in children {
-                    if out.len() >= count {
+                    if out.len() >= target {
                         return;
                     }
-                    Self::collect_from(child, start, count, out);
+                    Self::collect_from(child, start, target, out);
                 }
             }
         }
@@ -326,7 +328,7 @@ impl<K: Key> Index<K> for Hot<K> {
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
         if let Some(root) = &self.root {
-            Self::collect_from(root, spec.start, spec.count, out);
+            Self::collect_from(root, spec.start, before.saturating_add(spec.count), out);
         }
         out.len() - before
     }

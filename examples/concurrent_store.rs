@@ -3,15 +3,15 @@
 //!
 //! Run with `cargo run --release --example concurrent_store`.
 
-use gre::learned::{AlexPlus, LippPlus};
+use gre::learned::{alex_plus, lipp_plus};
 use gre_core::ConcurrentIndex;
 use std::sync::Arc;
 
 fn main() {
     let entries: Vec<(u64, u64)> = (0..500_000u64).map(|i| (i * 2, i)).collect();
-    let mut alex_plus = AlexPlus::<u64>::new();
-    ConcurrentIndex::bulk_load(&mut alex_plus, &entries);
-    let index = Arc::new(alex_plus);
+    let mut alex = alex_plus::<u64>();
+    ConcurrentIndex::bulk_load(&mut alex, &entries);
+    let index = Arc::new(alex);
 
     let threads = 4;
     let start = std::time::Instant::now();
@@ -26,9 +26,9 @@ fn main() {
     );
 
     // LIPP+ for comparison: correct, but its shared statistics serialize writers.
-    let mut lipp_plus = LippPlus::<u64>::new();
-    ConcurrentIndex::bulk_load(&mut lipp_plus, &entries);
-    let lipp = Arc::new(lipp_plus);
+    let mut lipp = lipp_plus::<u64>();
+    ConcurrentIndex::bulk_load(&mut lipp, &entries);
+    let lipp = Arc::new(lipp);
     let start = std::time::Instant::now();
     mixed_ops_scoped(&lipp, threads);
     println!(

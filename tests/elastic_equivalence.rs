@@ -13,7 +13,7 @@
 
 use gre_core::{ConcurrentIndex, Payload, RangeSpec};
 use gre_elastic::{ElasticController, ElasticPolicy};
-use gre_learned::AlexPlus;
+use gre_learned::alex_plus;
 use gre_shard::{Partitioner, SessionTarget, ShardedIndex};
 use gre_traditional::btree_olc;
 use gre_workloads::driver::ServeTarget;
@@ -32,7 +32,7 @@ type BackendFactory = fn() -> DynBackend;
 
 fn backends() -> Vec<(&'static str, BackendFactory)> {
     vec![
-        ("ALEX+", || Box::new(AlexPlus::<u64>::new())),
+        ("ALEX+", || Box::new(alex_plus::<u64>())),
         ("B+treeOLC", || Box::new(btree_olc::<u64>())),
     ]
 }

@@ -3,7 +3,7 @@
 //! paper's qualitative relationships that must hold at any scale.
 
 use gre::datasets::Dataset;
-use gre::learned::{Alex, AlexPlus, DynamicPgm, Finedex, Lipp, LippPlus, XIndex};
+use gre::learned::{alex_plus, lipp_plus, Alex, DynamicPgm, Finedex, Lipp, XIndex};
 use gre::traditional::{art_olc, btree_olc, Art, BPlusTree, Hot};
 use gre::workloads::{run_concurrent, run_single, WorkloadBuilder, WriteRatio};
 use gre_bench::registry::{concurrent_indexes, single_thread_indexes};
@@ -123,21 +123,21 @@ fn lipp_has_lower_write_amplification_than_alex() {
 fn concurrent_learned_indexes_survive_mixed_churn() {
     let keys = Dataset::Wise.generate(N, 13);
     let entries: Vec<(u64, u64)> = keys.iter().map(|&k| (k, k)).collect();
-    let mut alex_plus = AlexPlus::<u64>::new();
-    let mut lipp_plus = LippPlus::<u64>::new();
+    let mut alex = alex_plus::<u64>();
+    let mut lipp = lipp_plus::<u64>();
     let mut xindex = XIndex::<u64>::new();
     let mut finedex = Finedex::<u64>::new();
     let mut art = art_olc::<u64>();
     let mut btree = btree_olc::<u64>();
-    ConcurrentIndex::bulk_load(&mut alex_plus, &entries);
-    ConcurrentIndex::bulk_load(&mut lipp_plus, &entries);
+    ConcurrentIndex::bulk_load(&mut alex, &entries);
+    ConcurrentIndex::bulk_load(&mut lipp, &entries);
     ConcurrentIndex::bulk_load(&mut xindex, &entries);
     ConcurrentIndex::bulk_load(&mut finedex, &entries);
     ConcurrentIndex::bulk_load(&mut art, &entries);
     ConcurrentIndex::bulk_load(&mut btree, &entries);
     let indexes: Vec<(&str, &dyn ConcurrentIndex<u64>)> = vec![
-        ("ALEX+", &alex_plus),
-        ("LIPP+", &lipp_plus),
+        ("ALEX+", &alex),
+        ("LIPP+", &lipp),
         ("XIndex", &xindex),
         ("FINEdex", &finedex),
         ("ART-OLC", &art),
