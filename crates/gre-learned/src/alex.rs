@@ -18,7 +18,10 @@
 //! ALEX itself builds at the scales we benchmark).
 
 use gre_core::stats::PhaseTimer;
-use gre_core::{Index, IndexMeta, InsertStats, Key, OpCounters, Payload, RangeSpec, StatsSnapshot};
+use gre_core::{
+    Index, IndexMeta, InsertBreakdown, InsertStats, Key, OpCounters, Payload, RangeSpec,
+    StatsSnapshot,
+};
 use gre_pla::LinearModel;
 
 /// Configuration of ALEX (Table 1).
@@ -60,6 +63,10 @@ impl AlexConfig {
         }
     }
 }
+
+/// A gap search that passes this many slots makes a long shift, which is
+/// timed on every insert (see [`gre_core::stats`]).
+const LONG_SHIFT_SLOTS: usize = 1024;
 
 /// A gapped-array data node.
 #[derive(Debug)]
@@ -141,27 +148,35 @@ impl<K: Key> DataNode<K> {
         }
     }
 
+    /// The model's slot prediction for `key`.
+    #[inline]
+    fn predict(&self, key: K) -> usize {
+        self.model.predict_clamped(key, self.capacity())
+    }
+
     /// Position of the first occupied slot with key `>= key`
     /// (or `capacity()` if none), found by exponential search around the
-    /// model prediction — ALEX's "last-mile" search.
-    fn lower_bound(&mut self, key: K) -> usize {
+    /// model prediction `pred` — ALEX's "last-mile" search. Also returns the
+    /// number of search iterations. `pred` must be `< capacity()` unless the
+    /// node is empty. Stats-free, so the read paths share it.
+    #[inline]
+    fn search(&self, key: K, pred: usize) -> (usize, u64) {
         let cap = self.capacity();
         if cap == 0 || self.num_keys == 0 {
-            return cap;
+            return (cap, 0);
         }
-        let pred = self.model.predict_clamped(key, cap);
         // Predicate: effective_key(i) >= key, monotone in i.
-        let above = |node: &Self, i: usize| match node.effective_key(i) {
+        let above = |i: usize| match self.effective_key(i) {
             Some(k) => k >= key,
             None => false,
         };
         let mut iters = 1u64;
         let (mut lo, mut hi);
-        if above(self, pred) {
+        if above(pred) {
             // Answer is at or before pred: grow a bracket to the left.
             let mut step = 1usize;
             let mut left = pred;
-            while left > 0 && above(self, left.saturating_sub(step)) {
+            while left > 0 && above(left.saturating_sub(step)) {
                 left = left.saturating_sub(step);
                 step *= 2;
                 iters += 1;
@@ -172,40 +187,58 @@ impl<K: Key> DataNode<K> {
             // Answer is after pred: grow a bracket to the right.
             let mut step = 1usize;
             let mut right = pred;
-            while right < cap - 1 && !above(self, (right + step).min(cap - 1)) {
+            while right < cap - 1 && !above((right + step).min(cap - 1)) {
                 right = (right + step).min(cap - 1);
                 step *= 2;
                 iters += 1;
             }
             lo = right;
             hi = (right + step).min(cap - 1);
-            if !above(self, hi) {
-                self.num_search_iterations += iters;
-                return cap;
+            if !above(hi) {
+                return (cap, iters);
             }
         }
         // Binary search for the smallest i in (lo, hi] with above(i).
         while lo < hi {
             let mid = (lo + hi) / 2;
             iters += 1;
-            if above(self, mid) {
+            if above(mid) {
                 hi = mid;
             } else {
                 lo = mid + 1;
             }
         }
-        self.num_search_iterations += iters;
         // `lo` satisfies the predicate; move to the occupied slot itself.
         let mut p = lo;
         while !self.occupied[p] {
             p -= 1;
         }
-        p
+        (p, iters)
+    }
+
+    /// [`DataNode::search`] from the node's own prediction, adding the
+    /// iterations to the node's runtime statistics.
+    fn lower_bound(&mut self, key: K) -> usize {
+        let (pos, iters) = self.search(key, self.predict(key));
+        self.num_search_iterations += iters;
+        pos
+    }
+
+    /// Slot holding `key`, if present.
+    fn position(&mut self, key: K) -> Option<usize> {
+        let lb = self.lower_bound(key);
+        (lb < self.capacity() && self.keys[lb] == key).then_some(lb)
     }
 
     /// Insert. Returns `(newly_inserted, keys_shifted)` or `Err(())` if the
-    /// node has no room and needs an SMO first.
-    fn insert(&mut self, key: K, value: Payload) -> Result<(bool, u64), ()> {
+    /// node has no room and needs an SMO first. A long shift's time is added
+    /// to `events.shift_ns`.
+    fn insert(
+        &mut self,
+        key: K,
+        value: Payload,
+        events: &mut InsertBreakdown,
+    ) -> Result<(bool, u64), ()> {
         let cap = self.capacity();
         if self.num_keys == 0 {
             if cap == 0 {
@@ -220,7 +253,7 @@ impl<K: Key> DataNode<K> {
             return Ok((true, 0));
         }
         let lb = self.lower_bound(key);
-        if lb < cap && self.occupied[lb] && self.keys[lb] == key {
+        if lb < cap && self.keys[lb] == key {
             self.values[lb] = value;
             return Ok((false, 0));
         }
@@ -245,49 +278,51 @@ impl<K: Key> DataNode<K> {
             self.num_keys += 1;
             return Ok((true, 0));
         }
-        // No adjacent gap: shift towards the nearest gap.
-        if let Some(gap) = (lb..cap).find(|&p| !self.occupied[p]) {
+        // No adjacent gap: shift towards the nearest gap. Once the search
+        // passes LONG_SHIFT_SLOTS the shift is timed, sampled insert or not:
+        // shift lengths are heavy-tailed on clustered keys, and the long
+        // ones dominate the mean.
+        let near = (lb + LONG_SHIFT_SLOTS).min(cap);
+        let mut gap = (lb..near).find(|&p| !self.occupied[p]);
+        let timer = gap.is_none().then(PhaseTimer::start);
+        if gap.is_none() {
+            gap = (near..cap).find(|&p| !self.occupied[p]);
+        }
+        let (pos, shifted) = if let Some(gap) = gap {
             // Shift [lb, gap) one slot to the right.
-            let shifted = (gap - lb) as u64;
             for p in (lb..gap).rev() {
                 self.keys[p + 1] = self.keys[p];
                 self.values[p + 1] = self.values[p];
                 self.occupied[p + 1] = true;
             }
-            self.keys[lb] = key;
-            self.values[lb] = value;
-            self.occupied[lb] = true;
-            self.num_keys += 1;
-            self.num_shifts += shifted;
-            return Ok((true, shifted));
-        }
-        if let Some(gap) = (0..lb).rev().find(|&p| !self.occupied[p]) {
+            (lb, gap - lb)
+        } else if let Some(gap) = (0..lb).rev().find(|&p| !self.occupied[p]) {
             // Shift (gap, lb) one slot to the left and insert at lb - 1.
-            let shifted = (lb - 1 - gap) as u64;
             for p in gap..lb - 1 {
                 self.keys[p] = self.keys[p + 1];
                 self.values[p] = self.values[p + 1];
                 self.occupied[p] = true;
             }
-            self.keys[lb - 1] = key;
-            self.values[lb - 1] = value;
-            self.occupied[lb - 1] = true;
-            self.num_keys += 1;
-            self.num_shifts += shifted;
-            return Ok((true, shifted));
+            (lb - 1, lb - 1 - gap)
+        } else {
+            return Err(());
+        };
+        self.keys[pos] = key;
+        self.values[pos] = value;
+        self.occupied[pos] = true;
+        self.num_keys += 1;
+        self.num_shifts += shifted as u64;
+        if let Some(t) = timer {
+            events.shift_ns += t.elapsed_ns();
         }
-        Err(())
+        Ok((true, shifted as u64))
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
-        let lb = self.lower_bound(key);
-        if lb < self.capacity() && self.occupied[lb] && self.keys[lb] == key {
-            self.occupied[lb] = false;
-            self.num_keys -= 1;
-            Some(self.values[lb])
-        } else {
-            None
-        }
+        let pos = self.position(key)?;
+        self.occupied[pos] = false;
+        self.num_keys -= 1;
+        Some(self.values[pos])
     }
 
     /// All live entries in key order.
@@ -298,13 +333,13 @@ impl<K: Key> DataNode<K> {
             .collect()
     }
 
-    /// Append live entries with key >= start until `count` collected.
-    fn scan_into(&self, start: K, count: usize, out: &mut Vec<(K, Payload)>) {
-        for i in 0..self.capacity() {
+    /// Append live entries from slot `from` on until `out` holds `count`.
+    fn scan_into(&self, from: usize, count: usize, out: &mut Vec<(K, Payload)>) {
+        for i in from..self.capacity() {
             if out.len() >= count {
                 return;
             }
-            if self.occupied[i] && self.keys[i] >= start {
+            if self.occupied[i] {
                 out.push((self.keys[i], self.values[i]));
             }
         }
@@ -317,55 +352,13 @@ impl<K: Key> DataNode<K> {
             + self.occupied.capacity()
     }
 
-    /// Stats-free point probe from a precomputed model prediction: the same
-    /// exponential "last-mile" search as [`DataNode::lower_bound`], without
-    /// the `&mut` statistics updates, shared by the scalar and batched read
-    /// paths. `pred` must be `< capacity()`.
+    /// Stats-free point probe from a precomputed model prediction, shared by
+    /// the scalar and batched read paths. `pred` must be `< capacity()`
+    /// unless the node is empty.
+    #[inline]
     fn probe(&self, key: K, pred: usize) -> Option<Payload> {
-        let cap = self.capacity();
-        if cap == 0 || self.num_keys == 0 {
-            return None;
-        }
-        let above = |i: usize| match self.effective_key(i) {
-            Some(k) => k >= key,
-            None => false,
-        };
-        let (mut lo, mut hi);
-        if above(pred) {
-            let mut step = 1usize;
-            let mut left = pred;
-            while left > 0 && above(left.saturating_sub(step)) {
-                left = left.saturating_sub(step);
-                step *= 2;
-            }
-            lo = left.saturating_sub(step);
-            hi = pred;
-        } else {
-            let mut step = 1usize;
-            let mut right = pred;
-            while right < cap - 1 && !above((right + step).min(cap - 1)) {
-                right = (right + step).min(cap - 1);
-                step *= 2;
-            }
-            lo = right;
-            hi = (right + step).min(cap - 1);
-            if !above(hi) {
-                return None;
-            }
-        }
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if above(mid) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        let mut p = lo;
-        while !self.occupied[p] {
-            p -= 1;
-        }
-        (self.keys[p] == key).then_some(self.values[p])
+        let (p, _) = self.search(key, pred);
+        (p < self.capacity() && self.keys[p] == key).then(|| self.values[p])
     }
 }
 
@@ -470,9 +463,19 @@ impl<K: Key> Alex<K> {
     }
 
     /// Rebuild or split node `idx` after its insert failed or its density
-    /// exceeded the budget. The cost-model decision is the paper's: expand
-    /// and retrain while the node is under the size budget, split otherwise.
-    fn smo(&mut self, idx: usize) {
+    /// exceeded the budget, and record it in `stats`. The cost-model decision
+    /// is the paper's: expand and retrain while the node is under the size
+    /// budget, split otherwise. Every SMO is timed, sampled insert or not:
+    /// SMOs are rare and dominate the mean insert time.
+    fn smo(&mut self, idx: usize, stats: &mut InsertStats) {
+        let timer = PhaseTimer::start();
+        self.restructure(idx);
+        stats.events.smo_ns += timer.elapsed_ns();
+        stats.triggered_smo = true;
+        stats.nodes_created += 1;
+    }
+
+    fn restructure(&mut self, idx: usize) {
         let entries = self.nodes[idx].entries();
         if entries.len() < self.config.max_node_entries {
             // Expand & retrain in place.
@@ -522,11 +525,7 @@ impl<K: Key> Index<K> for Alex<K> {
         // `lower_bound` updates search statistics, which needs `&mut`; the
         // read path runs the stats-free probe on the const node.
         let node = &self.nodes[idx];
-        let cap = node.capacity();
-        if cap == 0 || node.num_keys == 0 {
-            return None;
-        }
-        node.probe(key, node.model.predict_clamped(key, cap))
+        node.probe(key, node.predict(key))
     }
 
     /// Batched point lookups, software-pipelined [`BATCH_WIDTH`] keys at a
@@ -567,54 +566,73 @@ impl<K: Key> Index<K> for Alex<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
-        let mut timer = PhaseTimer::start();
+        let mut stats = InsertStats {
+            timed: self.counters.next_insert_timed(),
+            ..Default::default()
+        };
+        // Untimed inserts read no clock outside an SMO or a long shift.
+        let mut timer = stats.timed.then(PhaseTimer::start);
 
         let (idx, traversed) = self.locate(key);
         stats.nodes_traversed = traversed;
-        stats.breakdown.lookup_ns = timer.lap_ns();
+        if let Some(t) = &mut timer {
+            t.mark();
+        }
 
-        let result = self.nodes[idx].insert(key, value);
+        let result = self.nodes[idx].insert(key, value, &mut stats.events);
         let (inserted, shifted) = match result {
             Ok(pair) => pair,
             Err(()) => {
                 // SMO, then retry (the retry cannot fail: the rebuilt node has
                 // gaps again).
-                let smo_timer = PhaseTimer::start();
-                self.smo(idx);
-                stats.breakdown.smo_ns = smo_timer.elapsed_ns();
-                stats.triggered_smo = true;
-                stats.nodes_created += 1;
+                self.smo(idx, &mut stats);
                 let (idx2, _) = self.locate(key);
                 self.nodes[idx2]
-                    .insert(key, value)
+                    .insert(key, value, &mut stats.events)
                     .expect("insert after SMO must succeed")
             }
         };
         stats.keys_shifted = shifted;
-        let work_ns = timer.lap_ns();
-        // Attribute post-lookup time: shifting dominates when keys moved.
-        if shifted > 0 {
-            stats.breakdown.shift_ns = work_ns;
-        } else {
-            stats.breakdown.insert_ns = work_ns;
+        if let Some(t) = &mut timer {
+            t.mark();
+            let [lookup_ns, work_ns] = t.laps_ns();
+            stats.breakdown.lookup_ns = lookup_ns;
+            // An SMO or long shift above is already in `events`; charge the
+            // rest of the write to shifting when keys moved.
+            let work_ns = work_ns.saturating_sub(stats.events.total_ns());
+            if shifted > 0 {
+                stats.breakdown.shift_ns = work_ns;
+            } else {
+                stats.breakdown.insert_ns = work_ns;
+            }
         }
 
         if inserted {
             self.len += 1;
         }
         // Density-triggered proactive SMO (performance-driven design).
-        if self.nodes[idx.min(self.nodes.len() - 1)].density() > self.config.max_density {
-            let smo_timer = PhaseTimer::start();
-            self.smo(idx.min(self.nodes.len() - 1));
-            stats.breakdown.smo_ns += smo_timer.elapsed_ns();
-            stats.triggered_smo = true;
-            stats.nodes_created += 1;
+        let idx = idx.min(self.nodes.len() - 1);
+        if self.nodes[idx].density() > self.config.max_density {
+            self.smo(idx, &mut stats);
         }
-        stats.breakdown.stat_ns = 0;
         self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
+    }
+
+    /// Overwrites the payload in place: route, last-mile search, write. An
+    /// update changes no key, so it skips the insert bookkeeping, the
+    /// density check and the clock.
+    fn update(&mut self, key: K, value: Payload) -> bool {
+        let (idx, _) = self.locate(key);
+        let node = &mut self.nodes[idx];
+        match node.position(key) {
+            Some(pos) => {
+                node.values[pos] = value;
+                true
+            }
+            None => false,
+        }
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
@@ -639,11 +657,18 @@ impl<K: Key> Index<K> for Alex<K> {
 
     fn range(&self, spec: RangeSpec<K>, out: &mut Vec<(K, Payload)>) -> usize {
         let before = out.len();
-        let (mut idx, _) = self.locate(spec.start);
         let target = before + spec.count;
-        while idx < self.nodes.len() && out.len() < target {
-            self.nodes[idx].scan_into(spec.start, target, out);
-            idx += 1;
+        let (idx, _) = self.locate(spec.start);
+        // Only the first node holds keys below `start`: begin its scan at
+        // the last-mile search result, and every later node at slot 0.
+        let first = &self.nodes[idx];
+        let (from, _) = first.search(spec.start, first.predict(spec.start));
+        first.scan_into(from, target, out);
+        for node in &self.nodes[idx + 1..] {
+            if out.len() >= target {
+                break;
+            }
+            node.scan_into(0, target, out);
         }
         out.len() - before
     }
@@ -846,6 +871,88 @@ mod tests {
         assert_eq!(out, vec![None, None, None]);
         empty.get_batch(&[], &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn short_ranges_match_model() {
+        let mut alex = Alex::with_config(AlexConfig {
+            max_node_entries: 256,
+            ..Default::default()
+        });
+        let mut model: BTreeMap<u64, u64> = entries(10_000).into_iter().collect();
+        alex.bulk_load(&entries(10_000));
+        // Inserts in between force SMOs and splits, so node boundaries no
+        // longer line up with bulk-load chunks.
+        for i in (0..10_000u64).step_by(3) {
+            alex.insert(i * 13 + 9, i);
+            model.insert(i * 13 + 9, i);
+        }
+        assert!(alex.data_node_count() > 4);
+        assert_eq!(model.len(), alex.len());
+        // Starts on, between and below stored keys; mid-node and across
+        // node boundaries (each boundary key itself, and just below it).
+        let mut starts: Vec<u64> = (0..130_000u64).step_by(997).collect();
+        for &b in &alex.boundaries[1..] {
+            starts.extend([b, b - 1, b.saturating_sub(30)]);
+        }
+        for start in starts {
+            for count in [1, 10, 300] {
+                let mut out = vec![(0, 0)];
+                let got = alex.range(RangeSpec::new(start, count), &mut out);
+                let expected: Vec<(u64, u64)> = model
+                    .range(start..)
+                    .take(count)
+                    .map(|(k, v)| (*k, *v))
+                    .collect();
+                assert_eq!(got, expected.len(), "start {start} count {count}");
+                assert_eq!(&out[1..], &expected[..], "start {start} count {count}");
+            }
+        }
+    }
+
+    #[test]
+    fn sampled_breakdown_keeps_every_smo() {
+        use gre_core::stats::PHASE_SAMPLE_STRIDE;
+        let mut alex = Alex::with_config(AlexConfig {
+            max_node_entries: 256,
+            ..Default::default()
+        });
+        alex.bulk_load(&entries(2_000));
+        let n = 20_000u64;
+        for i in 0..n {
+            alex.insert(i * 13 + 8 + (i / 2_000) * 3, i);
+        }
+        let snap = alex.stats();
+        assert!(snap.counters.smo_count > 0);
+        assert_eq!(snap.counters.inserts, n);
+        assert_eq!(snap.counters.timed_inserts, n.div_ceil(PHASE_SAMPLE_STRIDE));
+        let mean = snap.mean_insert_breakdown();
+        assert!(mean.smo_ns > 0, "{mean:?}");
+        assert!(mean.lookup_ns > 0, "{mean:?}");
+    }
+
+    #[test]
+    fn long_shifts_are_timed_on_every_insert() {
+        // A dense cluster between two loaded keys grows into a contiguous
+        // run, so inserts into it shift ever longer stretches of keys.
+        let mut alex = Alex::new();
+        let spaced: Vec<(u64, u64)> = (0..5_000u64).map(|i| (i * 1_000_000, i)).collect();
+        alex.bulk_load(&spaced);
+        let mut longest = 0;
+        for k in 1..=3_000u64 {
+            alex.insert(k, k);
+            longest = longest.max(alex.last_insert_stats().keys_shifted);
+        }
+        assert!(
+            longest >= LONG_SHIFT_SLOTS as u64,
+            "longest shift {longest}"
+        );
+        let snap = alex.stats();
+        assert!(snap.counters.event_breakdown.shift_ns > 0);
+        assert!(snap.mean_insert_breakdown().shift_ns > 0);
+        for k in (1..=3_000u64).step_by(7) {
+            assert_eq!(alex.get(k), Some(k));
+        }
     }
 
     #[test]

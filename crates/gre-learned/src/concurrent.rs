@@ -154,4 +154,46 @@ mod tests {
         assert_eq!(l.stat_updates(), inserts * LIPP_STAT_LEVELS as u64);
         assert_eq!(l.len(), 5_000 + inserts as usize);
     }
+
+    /// An update overwrites a payload in place: it is not counted as an
+    /// insert and leaves the last insert's statistics alone.
+    #[test]
+    fn updates_are_not_counted_as_inserts() {
+        use gre_core::index::MutexIndex;
+        const N: u64 = 1_000;
+        let entries: Vec<(u64, Payload)> = (0..5_000).map(|i| (i * 10, i)).collect();
+        let mut indexes: Vec<Box<dyn ConcurrentIndex<u64>>> = vec![
+            Box::new(MutexIndex::new(Alex::new(), "ALEX")),
+            Box::new(MutexIndex::new(Lipp::new(), "LIPP")),
+            Box::new(alex_plus()),
+        ];
+        for index in &mut indexes {
+            let name = index.meta().name;
+            index.bulk_load(&entries);
+            assert!(index.insert(5, 5));
+            let last = index.last_insert_stats();
+            index.reset_stats();
+            for i in 0..N {
+                assert!(
+                    index.update(i * 50, i + 1_000_000),
+                    "{name}: update {}",
+                    i * 50
+                );
+            }
+            assert!(!index.update(7, 0), "{name}: absent key");
+            assert_eq!(index.get(7), None, "{name}");
+            assert_eq!(index.stats().counters.inserts, 0, "{name}");
+            assert_eq!(index.last_insert_stats(), last, "{name}");
+            assert_eq!(index.len(), 5_001, "{name}");
+            for i in 0..N {
+                assert_eq!(
+                    index.get(i * 50),
+                    Some(i + 1_000_000),
+                    "{name}: key {}",
+                    i * 50
+                );
+            }
+            assert_eq!(index.get(10), Some(1), "{name}: untouched key");
+        }
+    }
 }

@@ -336,11 +336,14 @@ impl<K: Key> Lipp<K> {
             node.subtree_keys += 1;
         }
         // Subtree adjustment (SMO-like rebuild) when the conflict ratio is
-        // exceeded, bounding the tree height.
+        // exceeded, bounding the tree height. Every rebuild is timed, sampled
+        // insert or not: rebuilds are rare and dominate the mean.
         if node.should_rebuild(config) {
+            let timer = PhaseTimer::start();
             let mut entries = Vec::with_capacity(node.subtree_keys);
             node.collect(&mut entries);
             *node = *LippNode::build(&entries, config);
+            stats.events.smo_ns += timer.elapsed_ns();
             stats.triggered_smo = true;
         }
         inserted
@@ -406,23 +409,34 @@ impl<K: Key> Index<K> for Lipp<K> {
     }
 
     fn insert(&mut self, key: K, value: Payload) -> bool {
-        let mut stats = InsertStats::default();
-        let mut timer = PhaseTimer::start();
-        // LIPP has no separate pre-insertion lookup: locating the slot is the
-        // traversal itself, so the lookup share is measured as the traversal
-        // to the target node performed by `get`.
-        let _ = self.get(key);
-        stats.breakdown.lookup_ns = timer.lap_ns();
+        let mut stats = InsertStats {
+            timed: self.counters.next_insert_timed(),
+            ..Default::default()
+        };
+        // Untimed inserts read no clock outside a rebuild.
+        let mut timer = stats.timed.then(PhaseTimer::start);
+        if let Some(t) = &mut timer {
+            // LIPP has no separate pre-insertion lookup: locating the slot is
+            // the traversal itself, so the lookup share is measured as the
+            // traversal to the target node performed by `get`.
+            let _ = self.get(key);
+            t.mark();
+        }
 
         let inserted = Self::insert_rec(&mut self.root, key, value, &self.config, &mut stats);
-        let work = timer.lap_ns();
-        if stats.nodes_created > 0 {
-            stats.breakdown.chain_ns = work / 2;
-            stats.breakdown.stat_ns = work - work / 2;
-        } else if stats.triggered_smo {
-            stats.breakdown.smo_ns = work;
-        } else {
-            stats.breakdown.insert_ns = work / 2;
+        if let Some(t) = &mut timer {
+            t.mark();
+            let [lookup_ns, work] = t.laps_ns();
+            stats.breakdown.lookup_ns = lookup_ns;
+            // Rebuilds are already in `events`; split the rest of the write
+            // between the write itself (or chaining) and the path statistics.
+            let work = work.saturating_sub(stats.events.smo_ns);
+            let write = if stats.nodes_created > 0 {
+                &mut stats.breakdown.chain_ns
+            } else {
+                &mut stats.breakdown.insert_ns
+            };
+            *write = work / 2;
             stats.breakdown.stat_ns = work - work / 2;
         }
 
@@ -432,6 +446,36 @@ impl<K: Key> Index<K> for Lipp<K> {
         self.last_insert = stats;
         self.counters.record_insert(&stats);
         inserted
+    }
+
+    /// Overwrites the payload in place along `get`'s path. An update
+    /// changes no key, so it skips the path statistics, the rebuild check
+    /// and the clock.
+    fn update(&mut self, key: K, value: Payload) -> bool {
+        let mut node = self.root.as_mut();
+        loop {
+            let pos = node.model.predict_clamped(key, node.slots.len());
+            match &mut node.slots[pos] {
+                Slot::Empty => return false,
+                Slot::Data(k, v) => {
+                    if *k != key {
+                        return false;
+                    }
+                    *v = value;
+                    return true;
+                }
+                Slot::Child(child) => node = child,
+                Slot::Bucket(bucket) => {
+                    return match bucket.binary_search_by_key(&key, |e| e.0) {
+                        Ok(i) => {
+                            bucket[i].1 = value;
+                            true
+                        }
+                        Err(_) => false,
+                    }
+                }
+            }
+        }
     }
 
     fn remove(&mut self, key: K) -> Option<Payload> {
